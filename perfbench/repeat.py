@@ -9,9 +9,9 @@ the repository root:
     python3 perfbench/repeat.py --runs 10
     python3 perfbench/repeat.py --runs 5 --workloads serve_cold --first-seed 100
 
-It exits with 1 if a run fails, reports a wrong answer, or if a spread other
-than that of setup_s exceeds its bound, or the share of failed operations
-differs between runs of a workload.
+It exits with 1 if a run fails, reports a wrong answer, or if a spread
+exceeds its bound, or the share of failed operations differs between runs of
+a workload.
 """
 
 import argparse
@@ -39,10 +39,9 @@ def main():
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", default="",
                         help="comma-separated subset (default: all)")
-    parser.add_argument("--spec", default="BENCHMARK.json")
     args = parser.parse_args()
 
-    with open(args.spec) as f:
+    with open("BENCHMARK.json") as f:
         spec = json.load(f)
     workloads = [w["name"] for w in spec["workloads"]]
     if args.workloads:
@@ -71,7 +70,7 @@ def main():
             q1, med, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / med
             flag = ""
-            if spread > metric["bound"] and name != "setup_s":
+            if spread > metric["bound"]:
                 flag, ok = "  OVER BOUND", False
             elif spread > metric["bound"] / 3:
                 flag = "  above a third of the bound"

@@ -8,6 +8,7 @@
 
 use crate::fixture::{self, Training};
 use crate::load::{median, ms, ReadOutcome};
+use crate::reference::Layout;
 use hire_core::HireConfig;
 use hire_data::{training_context, Dataset, PredictionContext};
 use hire_graph::{BipartiteGraph, NeighborhoodSampler, Rating};
@@ -226,42 +227,31 @@ struct Staged {
 impl Staged {
     fn new(model: &FrozenModel, ds: &Dataset) -> Staged {
         let config = model.config().clone();
-        let mut params = model.parameters().into_iter();
-        let mut next = || params.next().expect("parameter list too short");
-        let tables = |id_only: bool, attrs: usize| if id_only { 1 } else { attrs };
-        let user_emb = (0..tables(ds.user_schema.is_id_only(), ds.user_schema.num_attributes()))
-            .map(|_| next())
-            .collect();
-        let item_emb = (0..tables(ds.item_schema.is_id_only(), ds.item_schema.num_attributes()))
-            .map(|_| next())
-            .collect();
-        let rating_emb = next();
-        let enabled = [config.enable_mbu, config.enable_mbi, config.enable_mba];
-        let blocks = (0..config.num_blocks)
-            .map(|_| {
-                let attn = enabled.map(|on| {
-                    on.then(|| MhsaWeights {
-                        w_q: next(),
-                        w_k: next(),
-                        w_v: next(),
-                        w_o: next(),
+        let p = Layout::of(model, ds, |a| a);
+        let blocks = p
+            .blocks
+            .into_iter()
+            .map(|layers| {
+                layers.map(|(attn, norm)| {
+                    let attn = attn.map(|[w_q, w_k, w_v, w_o]| MhsaWeights {
+                        w_q,
+                        w_k,
+                        w_v,
+                        w_o,
                         heads: config.heads,
                         head_dim: config.head_dim,
-                    })
-                });
-                let norms = enabled.map(|on| (on && config.layer_norm).then(|| (next(), next())));
-                let [a0, a1, a2] = attn;
-                let [n0, n1, n2] = norms;
-                [(a0, n0), (a1, n1), (a2, n2)]
+                    });
+                    (attn, norm)
+                })
             })
             .collect();
         Staged {
-            user_emb,
-            item_emb,
-            rating_emb,
+            user_emb: p.user_emb,
+            item_emb: p.item_emb,
+            rating_emb: p.rating_emb,
             blocks,
-            dec_w: next(),
-            dec_b: next(),
+            dec_w: p.dec_w,
+            dec_b: p.dec_b,
             alpha: ds.max_rating(),
             min_rating: ds.min_rating,
             levels: ds.rating_levels,

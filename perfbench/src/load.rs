@@ -6,6 +6,7 @@
 
 use hire_graph::Rating;
 use hire_serve::{Prediction, RatingQuery, ServeEngine, ServeError, ServedBy, Server};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Submissions between two backlog checks during a ramp.
@@ -138,26 +139,30 @@ pub struct WriteOutcome {
     pub result: Result<usize, ServeError>,
 }
 
-/// Calls `insert_rating(writes[k])` at `start + offsets[k]`.
+/// Calls `insert_rating(writes[k])` at `start + offsets[k]`, until `stop`
+/// is set.
 pub fn drive_writes(
     engine: &ServeEngine,
     writes: &[Rating],
     offsets: &[f64],
     start: Instant,
+    stop: &AtomicBool,
 ) -> Vec<WriteOutcome> {
     writes
         .iter()
         .zip(offsets)
-        .map(|(&rating, &offset)| {
-            let due = start + Duration::from_secs_f64(offset);
-            sleep_until(due);
+        .map_while(|(&rating, &offset)| {
+            sleep_until(start + Duration::from_secs_f64(offset));
+            if stop.load(Ordering::Relaxed) {
+                return None;
+            }
             let called = Instant::now();
             let result = engine.insert_rating(rating);
-            WriteOutcome {
+            Some(WriteOutcome {
                 rating,
                 ack: called.elapsed(),
                 result,
-            }
+            })
         })
         .collect()
 }
@@ -184,14 +189,15 @@ impl Summary {
 /// ramp counts as past the limit; a single bin hit by a host stall does not.
 const SUSTAINED_BINS: usize = 3;
 
-/// Highest arrival rate of a ramp whose 99th-percentile latency stays
-/// within `limit_ms`. The ramp's requests are cut into consecutive bins of
-/// `bin` requests; a failed request counts as missing the limit. The limit
+/// Highest rate of a ramp at which the `pct`-th percentile latency of its
+/// reads stays within `limit_ms`; the rate is each read's `rate`. The
+/// ramp's reads are cut into consecutive bins of `bin` reads; a failed read
+/// counts as missing the limit. The limit
 /// is passed at the first bin that starts a run of [`SUSTAINED_BINS`]
 /// missing bins (or that misses it with every later bin, when the ramp
 /// ends sooner); the rate is interpolated between that bin and the one
 /// before it. Returns `None` if the first bin already missed it.
-pub fn max_rate(outcomes: &[ReadOutcome], bin: usize, limit_ms: f64) -> Option<f64> {
+pub fn max_rate(outcomes: &[ReadOutcome], bin: usize, pct: f64, limit_ms: f64) -> Option<f64> {
     let bins: Vec<(f64, f64)> = outcomes
         .chunks(bin)
         .map(|chunk| {
@@ -200,7 +206,7 @@ pub fn max_rate(outcomes: &[ReadOutcome], bin: usize, limit_ms: f64) -> Option<f
                 .map(|o| o.latency_ms().unwrap_or(f64::INFINITY))
                 .collect();
             let rate = chunk.iter().map(|o| o.rate).sum::<f64>() / chunk.len() as f64;
-            (rate, percentile(&sorted(lat), 99.0))
+            (rate, percentile(&sorted(lat), pct))
         })
         .collect();
     let missed = |k: usize| {

@@ -28,9 +28,10 @@ const END_TO_END: [&str; 7] = [
 ];
 
 /// Per-layer metrics every traced run prints (`BENCHMARK.json`).
-const PER_LAYER: [&str; 41] = [
+const PER_LAYER: [&str; 42] = [
     "query.p99_ms",
     "write.ack_p99_ms",
+    "write.max_insert_rate",
     "server.queue_wait_p50_ms",
     "server.queue_wait_p99_ms",
     "server.batch_size_mean",

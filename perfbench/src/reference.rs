@@ -146,52 +146,85 @@ pub struct Reference {
     levels: usize,
 }
 
-impl Reference {
-    pub fn new(model: &FrozenModel, dataset: &Dataset) -> Reference {
-        let config = model.config().clone();
+/// Attention weights `[w_q, w_k, w_v, w_o]` and layer norm `(gamma, beta)`
+/// of one HIM layer, each present when the configuration enables it.
+pub type LayerParams<T> = (Option<[T; 4]>, Option<(T, T)>);
+
+/// A frozen model's flat parameter list split by role, in
+/// `HireModel::parameters()` order, each parameter converted by the caller.
+pub struct Layout<T> {
+    pub user_emb: Vec<T>,
+    pub item_emb: Vec<T>,
+    pub rating_emb: T,
+    /// Per block: MBU, MBI and MBA.
+    pub blocks: Vec<[LayerParams<T>; 3]>,
+    pub dec_w: T,
+    pub dec_b: T,
+}
+
+impl<T> Layout<T> {
+    pub fn of(model: &FrozenModel, dataset: &Dataset, mut conv: impl FnMut(NdArray) -> T) -> Self {
+        let config = model.config();
         let mut params = model.parameters().into_iter();
-        let mut next = || Mat::of(&params.next().expect("parameter list too short"));
-        let user_tables = if dataset.user_schema.is_id_only() {
-            1
-        } else {
-            dataset.user_schema.num_attributes()
-        };
-        let item_tables = if dataset.item_schema.is_id_only() {
-            1
-        } else {
-            dataset.item_schema.num_attributes()
-        };
-        let user_emb = (0..user_tables).map(|_| next()).collect();
-        let item_emb = (0..item_tables).map(|_| next()).collect();
+        let mut next = || conv(params.next().expect("parameter list too short"));
+        let tables = |id_only: bool, attrs: usize| if id_only { 1 } else { attrs };
+        let (us, is) = (&dataset.user_schema, &dataset.item_schema);
+        let user_emb = (0..tables(us.is_id_only(), us.num_attributes()))
+            .map(|_| next())
+            .collect();
+        let item_emb = (0..tables(is.is_id_only(), is.num_attributes()))
+            .map(|_| next())
+            .collect();
         let rating_emb = next();
         let enabled = [config.enable_mbu, config.enable_mbi, config.enable_mba];
         let blocks = (0..config.num_blocks)
             .map(|_| {
-                let mut attn = enabled.map(|on| {
-                    on.then(|| Attention {
-                        w_q: next(),
-                        w_k: next(),
-                        w_v: next(),
-                        w_o: next(),
-                    })
-                });
-                let norms = enabled.map(|on| {
-                    (on && config.layer_norm).then(|| Norm {
-                        gamma: next().data,
-                        beta: next().data,
-                    })
+                let attn = enabled.map(|on| on.then(|| [next(), next(), next(), next()]));
+                let norms = enabled.map(|on| (on && config.layer_norm).then(|| (next(), next())));
+                let [a0, a1, a2] = attn;
+                let [n0, n1, n2] = norms;
+                [(a0, n0), (a1, n1), (a2, n2)]
+            })
+            .collect();
+        let (dec_w, dec_b) = (next(), next());
+        assert!(params.next().is_none(), "parameter list too long");
+        Layout {
+            user_emb,
+            item_emb,
+            rating_emb,
+            blocks,
+            dec_w,
+            dec_b,
+        }
+    }
+}
+
+impl Reference {
+    pub fn new(model: &FrozenModel, dataset: &Dataset) -> Reference {
+        let config = model.config().clone();
+        let p = Layout::of(model, dataset, |a| Mat::of(&a));
+        let blocks = p
+            .blocks
+            .into_iter()
+            .map(|layers| {
+                let [mbu, mbi, mba] = layers.map(|(attn, norm)| {
+                    let attn = attn.map(|[w_q, w_k, w_v, w_o]| Attention { w_q, w_k, w_v, w_o });
+                    let norm = norm.map(|(g, b)| Norm {
+                        gamma: g.data,
+                        beta: b.data,
+                    });
+                    (attn, norm)
                 });
                 Block {
-                    mbu: attn[0].take(),
-                    mbi: attn[1].take(),
-                    mba: attn[2].take(),
-                    norms,
+                    mbu: mbu.0,
+                    mbi: mbi.0,
+                    mba: mba.0,
+                    norms: [mbu.1, mbi.1, mba.1],
                 }
             })
             .collect();
-        let dec_w = next().data;
-        let dec_b = next().data[0];
-        assert!(params.next().is_none(), "parameter list too long");
+        let (user_emb, item_emb, rating_emb) = (p.user_emb, p.item_emb, p.rating_emb);
+        let (dec_w, dec_b) = (p.dec_w.data, p.dec_b.data[0]);
         Reference {
             user_emb,
             item_emb,
